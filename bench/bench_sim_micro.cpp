@@ -1,16 +1,17 @@
 // E15b — replay data-plane micro-benchmarks (native, always built): LRU
-// cache ops flat-vs-legacy, trace recording rate, and full-replay A/B under
-// both data planes.  These bound how large the experiment sweeps can go,
-// and they *gate* the flat plane's two contracts (docs/perf.md):
+// cache ops of the replay plane (FlatLru) against the node-based reference
+// model (tests/lru_reference.h), trace recording rate, and full-replay
+// throughput.  These bound how large the experiment sweeps can go, and
+// they *gate* the flat plane's two contracts (docs/perf.md):
 //
 //   * exactness: every FlatLru op outcome (hit / evicted / victim) folds
-//     into a checksum that must match the legacy LruCache run of the same
-//     op sequence exactly, and the full-replay legs RO_CHECK bit-identical
-//     Metrics between SimConfig::flat_lru on and off;
+//     into a checksum that must match the reference run of the same op
+//     sequence exactly;
 //   * speed: the replay-shaped mixed stream must run >= --min-speedup
-//     (default 1.5x) faster on the flat plane than on the legacy one.
+//     (default 1.5x) faster on the flat plane than on the reference.
 //
-// Four op patterns, each A/B'd over {flat, legacy}:
+// Four op patterns, each A/B'd over {flat, reference} (JSON backends
+// "flat" / "legacy"):
 //
 //   touch-hit   access() over a resident working set (pure hit path)
 //   miss-evict  access() over a strided cold stream (every op evicts)
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/lru_reference.h"
 #include "common.h"
 #include "ro/sim/cache.h"
 
@@ -67,37 +69,35 @@ std::pair<double, uint64_t> run_pattern(uint32_t lines, uint64_t ops,
 struct AbRow {
   std::string label;
   double flat_ms = 0;
-  double legacy_ms = 0;
+  double ref_ms = 0;
   uint64_t ops = 0;
-  double speedup() const { return flat_ms > 0 ? legacy_ms / flat_ms : 0; }
+  double speedup() const { return flat_ms > 0 ? ref_ms / flat_ms : 0; }
   double flat_mops() const { return flat_ms > 0 ? ops / flat_ms / 1e3 : 0; }
-  double legacy_mops() const {
-    return legacy_ms > 0 ? ops / legacy_ms / 1e3 : 0;
-  }
+  double ref_mops() const { return ref_ms > 0 ? ops / ref_ms / 1e3 : 0; }
 };
 
-/// A/B one pattern over both cache classes: interleaved passes (a load
-/// spike hits both sides alike), min-of-reps, checksums RO_CHECK'd equal —
-/// the two planes must produce the identical op-outcome sequence.
+/// A/B one pattern over the flat plane and the reference: interleaved
+/// passes (a load spike hits both sides alike), min-of-reps, checksums
+/// RO_CHECK'd equal — both must produce the identical op-outcome sequence.
 template <class Pattern>
 AbRow ab(const std::string& label, uint32_t lines, uint64_t ops, int reps,
          Pattern&& step) {
   AbRow r;
   r.label = label;
   r.ops = ops;
-  uint64_t flat_sum = 0, legacy_sum = 0;
+  uint64_t flat_sum = 0, ref_sum = 0;
   run_pattern<FlatLru>(lines, ops, step);  // warmup (page-in, branch train)
   run_pattern<LruCache>(lines, ops, step);
   for (int i = 0; i < reps; ++i) {
     const auto [fm, fs] = run_pattern<FlatLru>(lines, ops, step);
     const auto [lm, ls] = run_pattern<LruCache>(lines, ops, step);
     flat_sum = fs;
-    legacy_sum = ls;
+    ref_sum = ls;
     r.flat_ms = (i == 0 || fm < r.flat_ms) ? fm : r.flat_ms;
-    r.legacy_ms = (i == 0 || lm < r.legacy_ms) ? lm : r.legacy_ms;
+    r.ref_ms = (i == 0 || lm < r.ref_ms) ? lm : r.ref_ms;
   }
-  RO_CHECK_MSG(flat_sum == legacy_sum,
-               "flat and legacy LRU disagree on an op outcome sequence");
+  RO_CHECK_MSG(flat_sum == ref_sum,
+               "flat and reference LRU disagree on an op outcome sequence");
   return r;
 }
 
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   const double min_speedup = cli.get_double("min-speedup", 1.5);
   std::string json = "[";
 
-  // ---- LRU op patterns, flat vs legacy ----------------------------------
+  // ---- LRU op patterns, flat vs reference ------------------------------
   std::vector<AbRow> rows;
 
   // Pure hit path: resident working set, every access touches.
@@ -183,17 +183,18 @@ int main(int argc, char** argv) {
                       }));
   }
 
-  Table t("LRU data plane: flat vs legacy (" + std::to_string(lines) +
+  Table t("LRU data plane: flat vs reference (" + std::to_string(lines) +
           " lines, " + std::to_string(ops) + " ops, min of " +
           std::to_string(reps) + ")");
-  t.header({"pattern", "flat ms", "legacy ms", "flat Mop/s", "legacy Mop/s",
+  t.header({"pattern", "flat ms", "ref ms", "flat Mop/s", "ref Mop/s",
             "speedup"});
   for (const AbRow& r : rows) {
-    t.row({r.label, Table::num(r.flat_ms), Table::num(r.legacy_ms),
-           Table::num(r.flat_mops()), Table::num(r.legacy_mops()),
+    t.row({r.label, Table::num(r.flat_ms), Table::num(r.ref_ms),
+           Table::num(r.flat_mops()), Table::num(r.ref_mops()),
            fx(r.speedup())});
     json_row(json, r.label, "flat", r.flat_ms, r.ops / r.flat_ms * 1e3);
-    json_row(json, r.label, "legacy", r.legacy_ms, r.ops / r.legacy_ms * 1e3);
+    // "legacy" names the reference row, as it always has in BENCH_history.
+    json_row(json, r.label, "legacy", r.ref_ms, r.ops / r.ref_ms * 1e3);
   }
   t.print();
 
@@ -215,11 +216,9 @@ int main(int argc, char** argv) {
                 g.accesses.size(), rec_ms, rate / 1e6);
     json_row(json, "sim-record", "native", rec_ms, rate);
 
-    // ---- full replay, flat vs legacy -----------------------------------
-    // Same trace, both schedulers; Metrics must be bit-identical (the
-    // exactness contract), wall clock reported per plane.
-    Table rt("Replay: flat vs legacy data plane");
-    rt.header({"scheduler", "flat ms", "legacy ms", "speedup"});
+    // ---- full replay ----------------------------------------------------
+    Table rt("Replay: flat data plane");
+    rt.header({"scheduler", "ms", "Macc/s"});
     struct Leg {
       const char* label;
       SchedKind kind;
@@ -227,29 +226,17 @@ int main(int argc, char** argv) {
     };
     for (const Leg& leg : {Leg{"sim-replay-seq", SchedKind::kSeq, 1},
                            Leg{"sim-replay-pws", SchedKind::kPws, p}}) {
-      SimConfig c = cfg(leg.p, 1 << 12, 32);
-      double flat_ms = 0, legacy_ms = 0;
-      Metrics fm, lm;
+      const SimConfig c = cfg(leg.p, 1 << 12, 32);
+      double ms = 0;
       for (int i = 0; i < reps; ++i) {
-        c.flat_lru = true;
-        double t1 = now_ms();
-        fm = simulate(g, leg.kind, c);
+        const double t1 = now_ms();
+        simulate(g, leg.kind, c);
         const double f = now_ms() - t1;
-        c.flat_lru = false;
-        t1 = now_ms();
-        lm = simulate(g, leg.kind, c);
-        const double l = now_ms() - t1;
-        flat_ms = (i == 0 || f < flat_ms) ? f : flat_ms;
-        legacy_ms = (i == 0 || l < legacy_ms) ? l : legacy_ms;
+        ms = (i == 0 || f < ms) ? f : ms;
       }
-      RO_CHECK_MSG(fm == lm,
-                   "flat and legacy replay Metrics diverged");
-      rt.row({leg.label, Table::num(flat_ms), Table::num(legacy_ms),
-              fx(legacy_ms / flat_ms)});
-      const double rate = g.accesses.size() / flat_ms * 1e3;
-      json_row(json, leg.label, "flat", flat_ms, rate);
-      json_row(json, leg.label, "legacy", legacy_ms,
-               g.accesses.size() / legacy_ms * 1e3);
+      const double rate = g.accesses.size() / ms * 1e3;
+      rt.row({leg.label, Table::num(ms), Table::num(rate / 1e6)});
+      json_row(json, leg.label, "flat", ms, rate);
     }
     rt.print();
   }

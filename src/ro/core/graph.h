@@ -87,11 +87,10 @@ struct GraphStats {
 /// of the graph's global access index space.  Record `i - acc_base` of the
 /// store is global access `i`; activation ids inside streamed records stay
 /// part-local (the store is immutable and shared), so readers add the
-/// owning span's `first_act` when translating them (see AccessReader and
-/// sched/replay.cpp's stream source).  Whether the store compresses its
-/// spilled segments (trace_codec.h) is invisible here: cursors always
-/// yield the decoded 16-byte records, so every reader — including the
-/// replay walk — is representation-oblivious.
+/// owning span's `first_act` when translating them (see AccessReader).
+/// Whether the store compresses its spilled segments (trace_codec.h) is
+/// invisible here: cursors always yield the decoded 16-byte records, so
+/// every reader — including the replay walk — is representation-oblivious.
 struct StreamPart {
   std::shared_ptr<TraceStore> store;
   uint64_t acc_base = 0;
@@ -156,14 +155,16 @@ class TaskGraph {
 /// the chunked stores — with one pinned trace segment of cache.  Returns
 /// records by value, with part-local activation ids of streamed records
 /// translated into the graph's global id space, so resident and streamed
-/// reads are indistinguishable to callers.  Not thread-safe; create one
-/// per thread.
+/// reads are indistinguishable to callers: analyze, validate, probes and
+/// the replay walk (one reader per simulated core per shard span) all read
+/// through it.  Not thread-safe; create one per thread.
 class AccessReader {
  public:
-  explicit AccessReader(const TaskGraph& g) : g_(&g) {}
+  explicit AccessReader(const TaskGraph& g)
+      : g_(&g), resident_(g.streaming() ? nullptr : g.accesses.data()) {}
 
   Access at(uint64_t i) {
-    if (!g_->streaming()) return g_->accesses[i];
+    if (resident_ != nullptr) return resident_[i];
     if (i - base_ >= count_) seek(i);  // wraps when i < base_ -> seek
     Access a = cur_.at(i - base_);
     if (a.act != kNoAct) a.act += act_off_;
@@ -174,6 +175,7 @@ class AccessReader {
   void seek(uint64_t i);
 
   const TaskGraph* g_;
+  const Access* resident_;  // the resident vector; null when streamed
   uint64_t base_ = 0;
   uint64_t count_ = 0;
   uint32_t act_off_ = 0;

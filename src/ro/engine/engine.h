@@ -239,45 +239,10 @@ class Engine {
     return diagnose(rec.graph, backend, sim, opt, label);
   }
 
-  // ---- legacy pool accessors -------------------------------------------
-  // Deprecated single-caller conveniences over the PoolCache: they return
-  // a plain reference *without* holding the exclusive lease, exactly like
-  // the old cached slots — fine for one thread driving the engine, unsound
-  // for concurrent use (that is what submit() is for).  The cache keeps
-  // every pool alive for the engine's lifetime, so the references stay
-  // valid even after a different configuration is requested.
-
-  /// The cached flat real-thread pool for a policy.  threads = 0 keeps the
-  /// policy's current pool (created at hardware concurrency on first use);
-  /// a nonzero value selects (and on first use creates) that size.
-  rt::Pool& pool(rt::StealPolicy policy, unsigned threads = 0);
-
-  /// The cached NUMA-aware pool for a policy: `groups` worker groups
-  /// (0 = one per detected node) with `escape` as the random flavor's
-  /// cross-group steal probability.  A different configuration selects a
-  /// different cached pool.
-  rt::Pool& numa_pool(rt::StealPolicy policy, unsigned threads = 0,
-                      uint32_t groups = 0, double escape = 1.0 / 16,
-                      bool pin = false);
-
-  /// The pool `opt` asks for — flat or NUMA-aware, from opt.backend.
-  rt::Pool& pool_for(const RunOptions& opt) {
-    if (backend_is_numa(opt.backend)) {
-      return numa_pool(steal_policy_of(opt.backend), opt.threads,
-                       opt.numa_groups, opt.numa_escape, opt.numa_pin);
-    }
-    return pool(steal_policy_of(opt.backend), opt.threads);
-  }
-
   /// Pools ever constructed by this engine's cache (tests/observability).
+  /// Parallel backends lease a pool per job, keyed by policy, threads,
+  /// NUMA grouping, escape and pin; a repeated key reuses a cached pool.
   uint64_t pools_created() const { return pool_cache_.created(); }
-
-  /// The steal policy a parallel backend selects.
-  static rt::StealPolicy steal_policy_of(Backend b) {
-    return (b == Backend::kParRandom || b == Backend::kParNumaRandom)
-               ? rt::StealPolicy::kRandom
-               : rt::StealPolicy::kPriority;
-  }
 
  private:
   /// Shared recording core of record / record_stream / submit: executes
@@ -295,30 +260,9 @@ class Engine {
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 
-  /// Resolves the pool configuration a parallel run asks for, applying the
-  /// "threads = 0 keeps the policy's current size" memo.
-  PoolKey resolve_flat_key(rt::StealPolicy policy, unsigned threads);
-  PoolKey resolve_numa_key(rt::StealPolicy policy, unsigned threads,
-                           uint32_t groups, double escape, bool pin);
-
-  /// The legacy accessors' core: returns the memoized pool when the key
-  /// matches, otherwise looks the key up in the cache (non-leasing) and
-  /// re-memoizes.
-  rt::Pool& sticky_pool(int slot, const PoolKey& key);
-
   PoolCache pool_cache_;
   detail::TuningGate tuning_gate_;
   std::atomic<uint64_t> next_job_id_{1};
-
-  // Last-key memos behind the legacy accessors' "0 = keep current"
-  // semantics: slots 0/1 flat random/priority, 2/3 NUMA random/priority.
-  struct SlotMemo {
-    bool valid = false;
-    PoolKey key;
-    rt::Pool* pool = nullptr;  // owned by pool_cache_, never destroyed
-  };
-  std::mutex memo_mu_;
-  SlotMemo memo_[4];
 };
 
 }  // namespace ro

@@ -132,7 +132,6 @@ std::string JobSpec::to_json() const {
   kv(s, "M2", opt.sim.M2);
   kv(s, "l2_latency", static_cast<uint64_t>(opt.sim.l2_latency));
   kv(s, "write_hold", static_cast<uint64_t>(opt.sim.write_hold));
-  kv(s, "flat_lru", static_cast<uint64_t>(opt.sim.flat_lru ? 1 : 0));
   kv(s, "replay_threads", static_cast<uint64_t>(opt.sim.replay_threads));
   kv(s, "padded", static_cast<uint64_t>(opt.padded ? 1 : 0));
   kv(s, "align_words", opt.align_words);
@@ -209,7 +208,6 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
       spec.opt.sim.l2_latency = static_cast<uint32_t>(as_u64(v));
     else if (k == "write_hold")
       spec.opt.sim.write_hold = static_cast<uint32_t>(as_u64(v));
-    else if (k == "flat_lru") spec.opt.sim.flat_lru = as_u64(v) != 0;
     else if (k == "replay_threads")
       spec.opt.sim.replay_threads = static_cast<uint32_t>(as_u64(v));
     else if (k == "padded") spec.opt.padded = as_u64(v) != 0;
@@ -238,7 +236,9 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
       if (!spms_from_json(v, t)) return fail("malformed spms tuning object");
       spec.opt.spms = t;
     }
-    // Unknown keys: skipped by design (a newer minor added them).
+    // Unknown keys: skipped by design (a newer minor added them, or an
+    // older one carried a knob since retired, like 1.0's cache-plane
+    // switch).
   }
   out = std::move(spec);
   return true;

@@ -25,9 +25,9 @@
 namespace ro {
 
 inline constexpr uint32_t kJobSchemaMajor = 1;
-inline constexpr uint32_t kJobSchemaMinor = 0;
+inline constexpr uint32_t kJobSchemaMinor = 1;
 
-/// The version string this build writes ("1.0").
+/// The version string this build writes ("1.1").
 std::string job_schema_version();
 
 enum class JobKind : uint8_t {

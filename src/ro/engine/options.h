@@ -78,9 +78,8 @@ struct RunOptions {
   bool capacity_shared = false;
 
   // ---- parallel backends ----
-  // Pool size.  0 = keep the engine's current pool for the policy (created
-  // at hardware concurrency on first use); a nonzero value selects (and on
-  // first use creates) the pool of that size.
+  // Pool size; 0 = hardware concurrency.  Resolved per job from these
+  // options alone, so one job's choice never sizes another's pool.
   unsigned threads = 0;
   uint64_t serial_below = 1 << 12;  // ParCtx serial cutoff, words
 

@@ -50,45 +50,6 @@ uint64_t data_words(const ShardSpan& span, const SimConfig& cfg) {
   return end - span.base;
 }
 
-/// Access source over the resident TaskGraph::accesses vector — the
-/// degenerate store whose one "segment" is the whole array.
-struct VecSource {
-  const Access* base = nullptr;
-  struct Cursor {
-    const Access* base = nullptr;
-    Access at(uint64_t i) const { return base[i]; }
-  };
-  Cursor cursor() const { return Cursor{base}; }
-};
-
-/// Access source over one shard's chunked TraceStore (trace_store.h):
-/// global access index -> store record (minus the part's acc_base), and
-/// part-local activation ids -> graph-global ids (plus the span's
-/// first_act — streamed records are immutable, so merge_shards never
-/// rewrote them).  Each simulated core owns one Cursor, pinning one trace
-/// segment; crossing a seal boundary faults the next segment in (a disk
-/// reload when it was spilled), which is the entire difference between
-/// the streaming walk and the resident one — the scheduling decisions
-/// consume identical records, hence bit-identical Metrics.
-struct StreamSource {
-  TraceStore* store = nullptr;
-  uint64_t acc_base = 0;
-  uint32_t act_off = 0;
-  struct Cursor {
-    TraceStore::Cursor cur;
-    uint64_t acc_base = 0;
-    uint32_t act_off = 0;
-    Access at(uint64_t i) {
-      Access a = cur.at(i - acc_base);
-      if (a.act != kNoAct) a.act += act_off;
-      return a;
-    }
-  };
-  Cursor cursor() const {
-    return Cursor{TraceStore::Cursor(*store), acc_base, act_off};
-  }
-};
-
 /// Sized data region of each span and its rebased offset in a replayer's
 /// address space.  Span s's recorded address a maps to
 /// off[s] + (a - span.base); off[0] == 0, so a single-span replayer sees
@@ -128,24 +89,20 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
 /// the shared cores and whose misses/transfers can be attributed per span
 /// through `shares`.
 ///
-/// The access stream is consumed through per-core, per-span cursors of
-/// `Source` (VecSource / StreamSource above), never by walking a resident
-/// array directly, so the same scheduling loop serves both the in-memory
-/// and the bounded-memory streaming representations.
-///
-/// `Cache` selects the simulated-cache implementation (SimConfig::flat_lru):
-/// FlatLru, the allocation-free flat data plane, or the legacy node-based
-/// LruCache.  Both implement exact LRU, so the choice never shows in
-/// Metrics — only in host replay throughput (docs/perf.md).
-template <class Source, class Cache>
+/// The access stream is read through one AccessReader (core/graph.h) per
+/// simulated core per span, never by walking a resident array directly, so
+/// the same scheduling loop serves both the in-memory and the
+/// bounded-memory streaming representations: a streamed reader pins one
+/// trace segment and crossing a seal boundary faults the next one in (a
+/// disk reload when it was spilled).  The scheduling decisions consume
+/// identical records either way, hence bit-identical Metrics.
 class ShardReplayer {
  public:
   ShardReplayer(const TaskGraph& g, std::vector<ShardSpan> spans,
                 SchedKind kind, const SimConfig& cfg,
-                std::vector<Source> srcs,
                 std::vector<TenantShare>* shares = nullptr)
       : g_(g), spans_(std::move(spans)), kind_(kind), cfg_(cfg),
-        srcs_(std::move(srcs)), shares_(shares),
+        shares_(shares),
         sp_(cfg.effective_steal_latency()),
         layout_(layout_spans(spans_, cfg,
                              g.align_words ? g.align_words : 4096)),
@@ -154,8 +111,7 @@ class ShardReplayer {
         rng_(cfg.seed) {
     RO_CHECK_MSG(cfg_.p >= 1 && cfg_.p <= 64, "p must be in [1, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
-    RO_CHECK_MSG(!spans_.empty() && spans_.size() == srcs_.size(),
-                 "one access source per span");
+    RO_CHECK_MSG(!spans_.empty(), "replay needs at least one span");
     if (kind_ == SchedKind::kSeq) {
       RO_CHECK_MSG(cfg_.p == 1, "sequential schedule needs p == 1");
     }
@@ -175,9 +131,7 @@ class ShardReplayer {
     cores_.reserve(cfg_.p);
     for (uint32_t i = 0; i < cfg_.p; ++i) {
       cores_.emplace_back(i, lines, l2_lines);
-      for (const Source& src : srcs_) {
-        cores_.back().curs.push_back(src.cursor());
-      }
+      cores_.back().rd.assign(spans_.size(), AccessReader(g_));
     }
     astate_.resize(acts);
     sstate_.resize(segs);
@@ -218,7 +172,7 @@ class ShardReplayer {
   struct Frame {
     uint32_t act = 0;
     uint32_t seg = 0;    // local segment index
-    uint64_t acc = 0;    // absolute cursor into g_.accesses
+    uint64_t acc = 0;    // global access index of the next record
     uint32_t span = 0;   // owning span (= tenant) of `act`
   };
 
@@ -231,12 +185,13 @@ class ShardReplayer {
     bool busy = false;
     Frame fr;
     uint32_t cur_arena = kNoCore;  // stack the core pushes frames on
-    // This core's window into each span's trace (one cursor per span; a
+    // This core's window into each span's trace (one reader per span, so
+    // a streamed span keeps its pinned segment across tenant switches; a
     // classic single-span unit has exactly one).
-    std::vector<typename Source::Cursor> curs;
+    std::vector<AccessReader> rd;
     std::deque<uint32_t> dq;  // stealable right children; back = bottom
-    Cache cache;                 // private L1
-    Cache l2;                    // L2 partition (§5.2)
+    FlatLru cache;               // private L1
+    FlatLru l2;                  // L2 partition (§5.2)
     FlatBlockSet invalidated;    // blocks lost to coherence
     std::vector<uint64_t> ever;  // ever-loaded bitset
     CoreMetrics m;
@@ -296,7 +251,7 @@ class ShardReplayer {
     const Activation& a = g_.acts[c.fr.act];
     const Segment& seg = g_.segments[a.first_seg + c.fr.seg];
     if (c.fr.acc < seg.acc_end) {
-      const Access acc = c.curs[c.fr.span].at(c.fr.acc);
+      const Access acc = c.rd[c.fr.span].at(c.fr.acc);
       if (replay_access(c, acc)) ++c.fr.acc;  // else: waiting on a hold
       c.last_productive = c.time;
       return;
@@ -689,7 +644,6 @@ class ShardReplayer {
   std::vector<ShardSpan> spans_;
   SchedKind kind_;
   SimConfig cfg_;
-  std::vector<Source> srcs_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
   SpanLayout layout_;
@@ -710,8 +664,7 @@ struct Unit {
   ShardSpan span;
   SchedKind kind = SchedKind::kSeq;
   SimConfig cfg;
-  uint32_t job = 0;   // owning ReplayJob (simulate_all)
-  int32_t part = -1;  // StreamPart index when the graph is streamed
+  uint32_t job = 0;  // owning ReplayJob (simulate_all)
 };
 
 SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
@@ -719,30 +672,15 @@ SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
   return cfg;
 }
 
-/// Data-plane dispatch (SimConfig::flat_lru): one walk, either cache class.
-template <class Source>
-Metrics run_spans(const TaskGraph& g, std::vector<ShardSpan> spans,
-                  SchedKind kind, const SimConfig& cfg,
-                  std::vector<Source> srcs,
-                  std::vector<TenantShare>* shares = nullptr) {
-  if (cfg.flat_lru) {
-    return ShardReplayer<Source, FlatLru>(g, std::move(spans), kind, cfg,
-                                          std::move(srcs), shares)
-        .run();
-  }
-  return ShardReplayer<Source, LruCache>(g, std::move(spans), kind, cfg,
-                                         std::move(srcs), shares)
-      .run();
+/// A streamed graph's readers find span k's records in part k.
+void check_stream_parts(const TaskGraph& g,
+                        const std::vector<ShardSpan>& spans) {
+  RO_CHECK_MSG(!g.streaming() || g.streams.size() == spans.size(),
+               "streamed graph must carry one part per shard span");
 }
 
 Metrics run_unit(const Unit& u) {
-  if (u.part >= 0) {
-    const StreamPart& part = u.g->streams[static_cast<size_t>(u.part)];
-    StreamSource src{part.store.get(), part.acc_base, u.span.first_act};
-    return run_spans<StreamSource>(*u.g, {u.span}, u.kind, u.cfg, {src});
-  }
-  VecSource src{u.g->accesses.data()};
-  return run_spans<VecSource>(*u.g, {u.span}, u.kind, u.cfg, {src});
+  return ShardReplayer(*u.g, {u.span}, u.kind, u.cfg).run();
 }
 
 /// Host pool for the parallel replay phase.  A flat random-stealing pool
@@ -819,13 +757,9 @@ std::vector<Unit> units_of(const TaskGraph& g, SchedKind kind,
   std::vector<Unit> units;
   const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  if (g.streaming()) {
-    RO_CHECK_MSG(g.streams.size() == spans.size(),
-                 "streamed graph must carry one part per shard span");
-  }
-  for (size_t k = 0; k < spans.size(); ++k) {
-    units.push_back(Unit{&g, spans[k], kind, ecfg, job,
-                         g.streaming() ? static_cast<int32_t>(k) : -1});
+  check_stream_parts(g, spans);
+  for (const ShardSpan& span : spans) {
+    units.push_back(Unit{&g, span, kind, ecfg, job});
   }
   return units;
 }
@@ -857,21 +791,8 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         std::vector<TenantShare>* shares) {
   const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  if (g.streaming()) {
-    RO_CHECK_MSG(g.streams.size() == spans.size(),
-                 "streamed graph must carry one part per shard span");
-    std::vector<StreamSource> srcs;
-    srcs.reserve(spans.size());
-    for (size_t k = 0; k < spans.size(); ++k) {
-      srcs.push_back(StreamSource{g.streams[k].store.get(),
-                                  g.streams[k].acc_base,
-                                  spans[k].first_act});
-    }
-    return run_spans<StreamSource>(g, spans, kind, ecfg, std::move(srcs),
-                                   shares);
-  }
-  std::vector<VecSource> srcs(spans.size(), VecSource{g.accesses.data()});
-  return run_spans<VecSource>(g, spans, kind, ecfg, std::move(srcs), shares);
+  check_stream_parts(g, spans);
+  return ShardReplayer(g, spans, kind, ecfg, shares).run();
 }
 
 std::vector<std::vector<Metrics>> simulate_shards_all(

@@ -42,8 +42,8 @@
 //
 // ## Record-while-replay pipelining
 //
-// The replayer never needs the whole trace up front: its stream cursors
-// fault one sealed TraceStore segment at a time, and TraceStore lets a
+// The replayer never needs the whole trace up front: its AccessReaders
+// (core/graph.h) fault one sealed TraceStore segment at a time, and TraceStore lets a
 // fault *block on the seal watermark* until the recorder seals that
 // segment (trace_store.h).  Within one shard the walk still has to wait
 // for recording to finish — start_act charges the activation's
@@ -69,6 +69,9 @@ class ContentionProfile;  // sim/contention.h
 
 enum class SchedKind : uint8_t { kSeq, kPws, kRws };
 
+// The simulated machine plus the host knobs of its replay.  Every core's
+// cache is the exact-LRU FlatLru (sim/cache.h); the host knobs
+// (replay_threads, replay_layout, replay_pin) never show in Metrics.
 struct SimConfig {
   uint32_t p = 4;              // cores, <= 64
   uint64_t M = 1 << 14;        // private cache size, words
@@ -93,15 +96,6 @@ struct SimConfig {
   // the hold expires, letting the writer finish its run of writes instead
   // of ping-ponging per word.  0 = plain invalidation protocol.
   uint32_t write_hold = 0;
-
-  // Replay data-plane selector (docs/perf.md).  true (default) = the flat
-  // allocation-free FlatLru cache with the single-probe combined access op;
-  // false = the legacy node-based LruCache (std::list + unordered_map).
-  // LRU semantics are identical, so every deterministic metric is
-  // bit-identical either way — the legacy plane exists exactly so that
-  // claim stays RO_CHECK-able (tests/, bench_sim_micro A/B rows).  A host
-  // implementation knob like replay_threads: never visible in Metrics.
-  bool flat_lru = true;
 
   // Host threads replaying shard units (see header comment).  1 = the
   // sequential walk (default), 0 = hardware concurrency.  A host knob, not
@@ -130,7 +124,7 @@ struct SimConfig {
   ContentionProfile* profile = nullptr;
 
   // Optional trace transformation (core/remap.h): when non-null, every
-  // recorded data address is remapped at cursor read time, before the
+  // recorded data address is remapped at read time, before the
   // shard rebase — a repaired layout replays straight off the original
   // stored segments.  Frame/stack addresses are unaffected.  Deliberately
   // *does* change Metrics (that is the point of a repair), but

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -262,19 +263,81 @@ TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
   }
 }
 
-TEST(Batch, FlatAndLegacyDataPlanesAreBitIdentical) {
-  // The flat-LRU acceptance criterion (docs/perf.md): SimConfig::flat_lru
-  // selects a host implementation, never a machine — Metrics must be
-  // bit-identical flat-vs-legacy on every workload, scheduler, host
-  // thread count, and on machines exercising the §5.1 write-hold and the
-  // §5.2 partitioned-L2 paths (whose discrete cache-op order the flat
-  // plane must reproduce exactly).
+/// A golden replay outcome: readable headline counters plus the digest of
+/// the full Metrics (test_helpers.h fingerprint).
+struct GoldenMetrics {
+  const char* key;
+  uint64_t makespan, cache_misses, block_misses, digest;
+};
+
+std::string golden_row(const GoldenMetrics& g) {
+  char line[200];
+  std::snprintf(line, sizeof line, "{\"%s\", %llu, %llu, %llu, 0x%016llxull},\n",
+                g.key, static_cast<unsigned long long>(g.makespan),
+                static_cast<unsigned long long>(g.cache_misses),
+                static_cast<unsigned long long>(g.block_misses),
+                static_cast<unsigned long long>(g.digest));
+  return line;
+}
+
+// Captured from the replay plane while a node-based reference LRU plane
+// still ran beside it and was asserted bit-identical to it on this exact
+// matrix.  Any change here means the simulated machine changed.
+constexpr GoldenMetrics kPlaneGoldens[] = {
+    {"SEQ/plain/route", 15955, 102, 0, 0xb0f5f9f287790f7full},
+    {"SEQ/plain/listrank", 354100, 2600, 0, 0x96739ed7c391304aull},
+    {"SEQ/plain/spms", 28027, 294, 0, 0xc0a2137fd6f5cb7cull},
+    {"SEQ/threads2/route", 15955, 102, 0, 0xb0f5f9f287790f7full},
+    {"SEQ/threads2/listrank", 354100, 2600, 0, 0x96739ed7c391304aull},
+    {"SEQ/threads2/spms", 28027, 294, 0, 0xc0a2137fd6f5cb7cull},
+    {"SEQ/write_hold/route", 15955, 102, 0, 0xb0f5f9f287790f7full},
+    {"SEQ/write_hold/listrank", 354100, 2600, 0, 0x96739ed7c391304aull},
+    {"SEQ/write_hold/spms", 28027, 294, 0, 0xc0a2137fd6f5cb7cull},
+    {"SEQ/l2/route", 15955, 102, 0, 0xb0f5f9f287790f7full},
+    {"SEQ/l2/listrank", 343684, 2618, 0, 0x11665723d5f8a7a1ull},
+    {"SEQ/l2/spms", 25987, 294, 0, 0x079080bf59d4fee9ull},
+    {"PWS/plain/route", 14071, 531, 166, 0x989ad9eaa3d55342ull},
+    {"PWS/plain/listrank", 425617, 15161, 6935, 0xeac3b3484b3d3701ull},
+    {"PWS/plain/spms", 13755, 601, 63, 0xefb30510e74da3b5ull},
+    {"PWS/threads2/route", 14071, 531, 166, 0x989ad9eaa3d55342ull},
+    {"PWS/threads2/listrank", 425617, 15161, 6935, 0xeac3b3484b3d3701ull},
+    {"PWS/threads2/spms", 13755, 601, 63, 0xefb30510e74da3b5ull},
+    {"PWS/write_hold/route", 13636, 539, 84, 0x8dd7420706dbed7full},
+    {"PWS/write_hold/listrank", 421267, 15275, 3896, 0x8abdb0c6be3ed742ull},
+    {"PWS/write_hold/spms", 13960, 623, 43, 0x73cd3c7a4ec2b7ceull},
+    {"PWS/l2/route", 14071, 531, 166, 0x989ad9eaa3d55342ull},
+    {"PWS/l2/listrank", 431289, 15301, 7027, 0x4b2b26df49648e1bull},
+    {"PWS/l2/spms", 13574, 600, 61, 0xada233d726ed1902ull},
+    {"RWS/plain/route", 12951, 458, 100, 0x9d971ed446391f89ull},
+    {"RWS/plain/listrank", 419645, 12970, 4332, 0xcd87fd1b94c33563ull},
+    {"RWS/plain/spms", 14013, 609, 68, 0x0b9c50e2864514afull},
+    {"RWS/threads2/route", 12951, 458, 100, 0x9d971ed446391f89ull},
+    {"RWS/threads2/listrank", 419645, 12970, 4332, 0xcd87fd1b94c33563ull},
+    {"RWS/threads2/spms", 14013, 609, 68, 0x0b9c50e2864514afull},
+    {"RWS/write_hold/route", 12062, 431, 51, 0xd686aa89f3e09bf6ull},
+    {"RWS/write_hold/listrank", 421721, 12888, 2681, 0x0c3fbe084ec5aa37ull},
+    {"RWS/write_hold/spms", 15247, 621, 56, 0x0bdad6989f397601ull},
+    {"RWS/l2/route", 12951, 458, 100, 0x9d971ed446391f89ull},
+    {"RWS/l2/listrank", 420964, 12994, 4513, 0x27231a7037bbd218ull},
+    {"RWS/l2/spms", 14682, 601, 70, 0x6bd0ff44f2950941ull},
+    {"merged/PWS/plain", 425617, 16293, 7164, 0x2c5cd423744fb058ull},
+    {"merged/PWS/threads2", 425617, 16293, 7164, 0x2c5cd423744fb058ull},
+    {"merged/PWS/write_hold", 421267, 16437, 4023, 0x8b130a4a24301098ull},
+    {"merged/PWS/l2", 431289, 16432, 7254, 0x47003f2d1ae8d37full},
+};
+
+TEST(Batch, ReplayPlaneMetricsMatchGoldens) {
+  // Pins the replay plane's Metrics on every workload, scheduler and
+  // machine, including the §5.1 write-hold path and the §5.2 inclusive-L2
+  // path, whose discrete cache-op order (the L2 victim leaves L1 before
+  // the L1 insert picks its own victim) is observable in Metrics.
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
   parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
   parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
   parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2).graph);
+  const char* const part_names[] = {"route", "listrank", "spms"};
 
   std::vector<std::pair<const char*, SimConfig>> machines;
   machines.emplace_back("plain", small_machine(1));
@@ -286,26 +349,32 @@ TEST(Batch, FlatAndLegacyDataPlanesAreBitIdentical) {
   l2.M2 = l2.M * 4;
   machines.emplace_back("l2", l2);
 
-  const auto both = [](SimConfig cfg, bool flat) {
-    cfg.flat_lru = flat;
-    return cfg;
-  };
+  std::vector<std::pair<std::string, Metrics>> actual;
   for (const SchedKind kind :
        {SchedKind::kSeq, SchedKind::kPws, SchedKind::kRws}) {
     for (const auto& [mname, mcfg] : machines) {
-      for (const TaskGraph& g : parts) {
-        EXPECT_EQ(simulate(g, kind, both(mcfg, true)),
-                  simulate(g, kind, both(mcfg, false)))
-            << sched_name(kind) << " machine=" << mname;
+      for (size_t i = 0; i < parts.size(); ++i) {
+        actual.emplace_back(std::string(sched_name(kind)) + "/" + mname +
+                                "/" + part_names[i],
+                            simulate(parts[i], kind, mcfg));
       }
     }
   }
   const TaskGraph merged = merge_shards(std::move(parts));
   for (const auto& [mname, mcfg] : machines) {
-    EXPECT_EQ(simulate(merged, SchedKind::kPws, both(mcfg, true)),
-              simulate(merged, SchedKind::kPws, both(mcfg, false)))
-        << "merged machine=" << mname;
+    actual.emplace_back(std::string("merged/PWS/") + mname,
+                        simulate(merged, SchedKind::kPws, mcfg));
   }
+
+  // Both sides render as golden-table rows, so a mismatch prints a diff
+  // whose "actual" lines are ready to paste.
+  std::string want, got;
+  for (const GoldenMetrics& g : kPlaneGoldens) want += golden_row(g);
+  for (const auto& [key, m] : actual) {
+    got += golden_row({key.c_str(), m.makespan, m.cache_misses(),
+                       m.block_misses(), testing::fingerprint(m)});
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(Batch, RunBatchReportShape) {

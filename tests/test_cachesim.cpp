@@ -11,14 +11,15 @@
 #include "ro/sim/directory.h"
 #include "ro/sim/flat_index.h"
 #include "ro/util/rng.h"
+#include "lru_reference.h"
 
 namespace ro {
 namespace {
 
 using alg::i64;
 
-// Both data planes (docs/perf.md) implement the same exact-LRU contract;
-// every directed cache test runs against each.
+// The replay cache and its reference model (lru_reference.h) implement the
+// same exact-LRU contract; every directed cache test runs against each.
 template <class C>
 class LruImpl : public ::testing::Test {};
 using LruImpls = ::testing::Types<FlatLru, LruCache>;
@@ -99,13 +100,13 @@ TEST(FlatLru, CapacityOneChurn) {
   }
 }
 
-// Randomized property test: FlatLru against the legacy list+map cache as
+// Randomized property test: FlatLru against the list+map reference as
 // oracle, over op sequences mixing combined accesses, touches (present and
 // absent) and invalidations (MRU / LRU / middle / absent), at capacities
 // down to 1 and with enough universe pressure for sustained full-cache
 // eviction churn.  Every outcome — hit, eviction, victim identity, size,
 // membership — must match op for op.
-TEST(FlatLru, MatchesLegacyOracleOnRandomOpSequences) {
+TEST(FlatLru, MatchesReferenceOracleOnRandomOpSequences) {
   for (const uint32_t cap : {1u, 2u, 3u, 8u, 64u}) {
     Rng rng(uint64_t{cap} * 977 + 11);
     FlatLru f(cap);

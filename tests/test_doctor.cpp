@@ -151,27 +151,41 @@ TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
   }
 }
 
-TEST(ContentionProfile, FlatAndLegacyDataPlanesProfileIdentically) {
-  // The profile — like Metrics — must not see the cache implementation:
-  // last-touch attribution now lives in a flat open-addressed table, and
-  // the flat-vs-legacy cache swap must leave every recorded invalidation,
-  // coherence miss and transfer bit-identical on the packed-counter
-  // adversary (the doctor's diagnostic input).
+/// Digest of every (line, word, task, edge) counter of a profile.
+uint64_t fingerprint(const ContentionProfile& prof) {
+  testing::Fingerprint f;
+  for (const auto& [addr, line] : prof.lines()) {
+    f.add(addr).add(line.words.size());
+    for (const auto& [word, st] : line.words) {
+      f.add(word).add(st.invalidations_caused).add(st.invalidations_suffered);
+      f.add(st.coherence_misses).add(st.tasks.size());
+      for (const auto& [act, events] : st.tasks) f.add(act).add(events);
+    }
+    f.add(line.edges.size());
+    for (const auto& [edge, weight] : line.edges) {
+      f.add(edge.first).add(edge.second).add(weight);
+    }
+    f.add(line.false_events).add(line.true_events).add(line.transfers);
+  }
+  return f.value();
+}
+
+TEST(ContentionProfile, PackedCounterProfileMatchesGolden) {
+  // The packed-counter adversary's profile (the doctor's diagnostic
+  // input), pinned to the value captured while a node-based reference
+  // LRU plane still ran beside the flat one and profiled bit-identically:
+  // every recorded invalidation, coherence miss and transfer, through the
+  // flat last-touch table.
   const Recording rec = engine().record(prog_counters(8, 16, 1));
-  ContentionProfile flat, legacy;
-  {
-    SimConfig cfg = doctor_cfg();
-    cfg.profile = &flat;
-    engine().replay(rec, Backend::kSimPws, cfg, false);
-  }
-  {
-    SimConfig cfg = doctor_cfg();
-    cfg.flat_lru = false;
-    cfg.profile = &legacy;
-    engine().replay(rec, Backend::kSimPws, cfg, false);
-  }
-  ASSERT_FALSE(flat.empty());
-  EXPECT_EQ(flat, legacy);
+  ContentionProfile prof;
+  SimConfig cfg = doctor_cfg();
+  cfg.profile = &prof;
+  engine().replay(rec, Backend::kSimPws, cfg, false);
+  EXPECT_EQ(prof.lines().size(), 1u);
+  EXPECT_EQ(prof.false_events(), 122u);
+  EXPECT_EQ(prof.true_events(), 0u);
+  EXPECT_EQ(prof.total_transfers(), 122u);
+  EXPECT_EQ(fingerprint(prof), 0x23862c5ffb3b3470ull);
 }
 
 TEST(ContentionProfile, DeterministicAcrossStreamWindows) {

@@ -317,34 +317,79 @@ TEST(Engine, BackendNamesRoundTrip) {
   EXPECT_FALSE(parse_backend("warp-drive", out));
 }
 
+/// A small parallel-backend job for the pool-cache tests.
+JobSpec par_spec(Backend backend, unsigned threads) {
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.n = 1 << 10;
+  spec.opt.backend = backend;
+  spec.opt.threads = threads;
+  return spec;
+}
+
 TEST(Engine, PoolIsCachedPerPolicy) {
+  // Each job leases its pool from the PoolCache by configuration: a
+  // sequential repeat reuses the cached pool, another policy or size gets
+  // its own.
   Engine eng;
-  rt::Pool& a = eng.pool(rt::StealPolicy::kRandom, 2);
-  rt::Pool& b = eng.pool(rt::StealPolicy::kRandom, 2);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.threads(), 2u);
-  rt::Pool& c = eng.pool(rt::StealPolicy::kRandom);  // 0 = keep current
-  EXPECT_EQ(&a, &c);
-  rt::Pool& d = eng.pool(rt::StealPolicy::kPriority, 2);
-  EXPECT_NE(&a, &d);
-  EXPECT_EQ(d.policy(), rt::StealPolicy::kPriority);
+  JobResult jr = eng.submit(par_spec(Backend::kParRandom, 2));
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_EQ(jr.report.threads, 2u);
+  EXPECT_EQ(eng.pools_created(), 1u);
+  ASSERT_TRUE(eng.submit(par_spec(Backend::kParRandom, 2)).ok());
+  EXPECT_EQ(eng.pools_created(), 1u);  // same key: cached
+  ASSERT_TRUE(eng.submit(par_spec(Backend::kParPriority, 2)).ok());
+  EXPECT_EQ(eng.pools_created(), 2u);  // other policy: its own pool
+  jr = eng.submit(par_spec(Backend::kParRandom, 3));
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_EQ(jr.report.threads, 3u);
+  EXPECT_EQ(eng.pools_created(), 3u);  // other size: its own pool
 }
 
 TEST(Engine, NumaPoolIsCachedPerConfig) {
   Engine eng;
-  rt::Pool& a = eng.numa_pool(rt::StealPolicy::kRandom, 4, 2);
-  EXPECT_EQ(a.threads(), 4u);
-  EXPECT_EQ(a.groups(), 2u);
-  rt::Pool& b = eng.numa_pool(rt::StealPolicy::kRandom, 4, 2);
-  EXPECT_EQ(&a, &b);  // same config: cached
-  rt::Pool& c = eng.numa_pool(rt::StealPolicy::kRandom, 4, 4);
-  EXPECT_EQ(c.groups(), 4u);  // group count change: recreated
-  rt::Pool& d = eng.numa_pool(rt::StealPolicy::kRandom, 4, 4, /*escape=*/0.5);
-  EXPECT_EQ(d.escape_prob(), 0.5);  // escape change: recreated
-  // The numa slots are independent of the flat ones.
-  rt::Pool& flat = eng.pool(rt::StealPolicy::kRandom, 4);
-  EXPECT_NE(&flat, &d);
-  EXPECT_EQ(flat.groups(), 1u);
+  JobSpec spec = par_spec(Backend::kParNumaRandom, 4);
+  spec.opt.numa_groups = 2;
+  JobResult jr = eng.submit(spec);
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_EQ(jr.report.threads, 4u);
+  EXPECT_EQ(jr.report.pool_groups, 2u);
+  ASSERT_TRUE(eng.submit(spec).ok());
+  EXPECT_EQ(eng.pools_created(), 1u);  // same config: cached
+  spec.opt.numa_groups = 4;
+  jr = eng.submit(spec);
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_EQ(jr.report.pool_groups, 4u);
+  EXPECT_EQ(eng.pools_created(), 2u);  // group count change: new pool
+  spec.opt.numa_escape = 0.5;
+  ASSERT_TRUE(eng.submit(spec).ok());
+  EXPECT_EQ(eng.pools_created(), 3u);  // escape change: new pool
+  // NUMA pools are cached apart from the flat ones.
+  jr = eng.submit(par_spec(Backend::kParRandom, 4));
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_EQ(jr.report.pool_groups, 1u);
+  EXPECT_EQ(eng.pools_created(), 4u);
+}
+
+TEST(Engine, ThreadsZeroIsHardwareConcurrencyOnEverySubmit) {
+  // Regression: threads = 0 used to mean "the size of the last pool this
+  // policy used", so under ro-serve one tenant's spec sized the next
+  // tenant's pool.  The other size is hw + 1 so the two always differ.
+  const unsigned hw = std::thread::hardware_concurrency() != 0
+                          ? std::thread::hardware_concurrency()
+                          : 2;
+  for (const Backend b : {Backend::kParRandom, Backend::kParNumaRandom}) {
+    Engine eng;
+    JobResult jr = eng.submit(par_spec(b, 0));
+    ASSERT_TRUE(jr.ok()) << jr.error;
+    EXPECT_EQ(jr.report.threads, hw) << backend_name(b);
+    jr = eng.submit(par_spec(b, hw + 1));
+    ASSERT_TRUE(jr.ok()) << jr.error;
+    EXPECT_EQ(jr.report.threads, hw + 1) << backend_name(b);
+    jr = eng.submit(par_spec(b, 0));
+    ASSERT_TRUE(jr.ok()) << jr.error;
+    EXPECT_EQ(jr.report.threads, hw) << backend_name(b);
+  }
 }
 
 TEST(Engine, RunShimIsBitIdenticalToSubmit) {
@@ -411,6 +456,28 @@ TEST(Engine, SubmitRejectsBadSpecsInsteadOfAborting) {
   spec.kind = JobKind::kDiagnose;
   spec.opt.backend = Backend::kParRandom;  // diagnose needs a sim backend
   EXPECT_EQ(eng.submit(spec).status, JobStatus::kError);
+}
+
+TEST(Engine, WireSpecsThatUsedToAbortAreErrors) {
+  // Each spec parses, and none may reach the replayer or the recorder:
+  // M/B used to wrap to 0 in the replayer's uint32 line count (an
+  // RO_CHECK abort; an oversized M2 partition wrapped silently to one
+  // line), and a zero or non-power-of-two alignment aborted in the VSpace
+  // constructor.
+  Engine eng;
+  for (const char* tail :
+       {R"("M":1099511627776,"B":1})", R"("M2":1099511627776,"B":1)",
+        R"("align_words":0)", R"("align_words":48)"}) {
+    const std::string wire =
+        std::string(R"({"workload":"msum","n":1024,"backend":"sim-pws",)") +
+        tail + "}";
+    JobSpec spec;
+    std::string err;
+    ASSERT_TRUE(jobspec_from_json(wire, spec, &err)) << wire << ": " << err;
+    const JobResult jr = eng.submit(spec);
+    EXPECT_EQ(jr.status, JobStatus::kError) << wire;
+    EXPECT_FALSE(jr.error.empty()) << wire;
+  }
 }
 
 TEST(Engine, ConcurrentSubmitsShareThePoolCacheSafely) {

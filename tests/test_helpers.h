@@ -58,4 +58,40 @@ inline void check_limited(const TaskGraph& g, uint32_t k = 2) {
   EXPECT_LE(rep.max_writes_per_location, k);
 }
 
+/// FNV-1a over a sequence of 64-bit values — the digest behind the golden
+/// checks, which pin a replay's full observable output in one number.
+class Fingerprint {
+ public:
+  Fingerprint& add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ull;
+    }
+    return *this;
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+/// Digest of every field of a Metrics, in declaration order.
+inline uint64_t fingerprint(const Metrics& m) {
+  Fingerprint f;
+  f.add(m.core.size());
+  for (const CoreMetrics& c : m.core) {
+    f.add(c.compute);
+    for (const auto& row : c.miss) {
+      for (const uint64_t v : row) f.add(v);
+    }
+    f.add(c.steals).add(c.steal_attempts).add(c.usurpations).add(c.idle);
+    f.add(c.steal_cycles).add(c.finish).add(c.l2_hits).add(c.hold_waits);
+  }
+  f.add(m.makespan).add(m.steals_per_priority.size());
+  for (const auto& [depth, steals] : m.steals_per_priority) {
+    f.add(depth).add(steals);
+  }
+  f.add(m.max_block_transfers).add(m.total_block_transfers);
+  return f.add(m.stack_words).value();
+}
+
 }  // namespace ro::testing

@@ -170,8 +170,8 @@ TEST(JobSchema, NewerMinorWithUnknownKeysParses) {
   base.tenant = "t";
   std::string j = base.to_json();
   // A future 1.x writer: bumped minor, an extra key this build ignores.
-  ASSERT_NE(j.find("\"schema_version\":\"1.0\""), std::string::npos);
-  j.replace(j.find("\"1.0\""), 5, "\"1.7\"");
+  ASSERT_NE(j.find("\"schema_version\":\"1.1\""), std::string::npos);
+  j.replace(j.find("\"1.1\""), 5, "\"1.7\"");
   j.insert(j.size() - 1, ",\"future_knob\":42,\"future_obj\":{\"x\":[1,2]}");
   JobSpec out;
   std::string err;
@@ -181,25 +181,32 @@ TEST(JobSchema, NewerMinorWithUnknownKeysParses) {
   EXPECT_EQ(out.schema_version, "1.7");  // echoed, not rewritten
 }
 
-TEST(JobSchema, FlatLruKnobRoundTrips) {
-  // The data-plane selector rides the wire like any other sim knob, and
-  // its default (flat on) survives a spec that omits the key entirely.
-  JobSpec base;
-  base.workload = "msum";
-  base.opt.sim.flat_lru = false;
-  JobSpec out;
+TEST(JobSchema, RetiredFlatLruKeyStillParsesAndSubmits) {
+  // Schema 1.0 carried a "flat_lru" data-plane switch; 1.1 retired it (the
+  // replayer has one cache plane).  An old client's spec still parses —
+  // the key is skipped like any unknown one — and replays to the same
+  // Metrics as the spec without it, and writers no longer emit the key.
+  const std::string plain =
+      R"({"schema_version":"1.0","workload":"msum","n":2048,)"
+      R"("backend":"sim-pws","p":4,"M":4096,"B":32)";
+  JobSpec with_key, without_key;
   std::string err;
-  ASSERT_TRUE(jobspec_from_json(base.to_json(), out, &err)) << err;
-  EXPECT_FALSE(out.opt.sim.flat_lru);
-  JobSpec dflt;
-  ASSERT_TRUE(jobspec_from_json("{\"workload\":\"msum\"}", dflt, &err)) << err;
-  EXPECT_TRUE(dflt.opt.sim.flat_lru);
+  ASSERT_TRUE(jobspec_from_json(plain + R"(,"flat_lru":0})", with_key, &err))
+      << err;
+  ASSERT_TRUE(jobspec_from_json(plain + "}", without_key, &err)) << err;
+  const JobResult a = ro::testing::engine().submit(with_key);
+  const JobResult b = ro::testing::engine().submit(without_key);
+  ASSERT_TRUE(a.ok()) << a.error;
+  ASSERT_TRUE(b.ok()) << b.error;
+  EXPECT_EQ(a.report.sim, b.report.sim);
+  EXPECT_EQ(a.report.q_seq, b.report.q_seq);
+  EXPECT_EQ(with_key.to_json().find("flat_lru"), std::string::npos);
 }
 
 TEST(JobSchema, NewerMajorIsRejectedWithReason) {
   JobSpec base;
   std::string j = base.to_json();
-  j.replace(j.find("\"1.0\""), 5, "\"2.0\"");
+  j.replace(j.find("\"1.1\""), 5, "\"2.0\"");
   JobSpec out;
   std::string err;
   EXPECT_FALSE(jobspec_from_json(j, out, &err));

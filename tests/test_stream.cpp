@@ -475,27 +475,6 @@ TEST(StreamReplay, BitIdenticalAcrossWindowsAndThreads) {
   }
 }
 
-TEST(StreamReplay, FlatAndLegacyDataPlanesMatchOnStreamedTraces) {
-  // The flat-LRU exactness contract holds on the streamed representation
-  // too: the same trace through the chunked TraceStore at resident windows
-  // 1 / unbounded replays bit-identically under both data planes (the
-  // cursors feed the identical access sequence to either cache class).
-  const size_t n = 160;
-  Engine& eng = testing::engine();
-  const auto prog = prog_route(n);
-  for (const uint32_t window : {1u, 0u}) {
-    const Recording str = eng.record_stream(prog, tiny_stream(window));
-    for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-      SimConfig flat = stream_machine(2);
-      SimConfig legacy = flat;
-      legacy.flat_lru = false;
-      EXPECT_EQ(simulate(str.graph, kind, flat),
-                simulate(str.graph, kind, legacy))
-          << sched_name(kind) << " window=" << window;
-    }
-  }
-}
-
 TEST(StreamReplay, MergedBatchMatchesInMemoryBatch) {
   const size_t n = 128;
   std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
